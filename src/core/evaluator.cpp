@@ -200,11 +200,13 @@ Evaluator::PeakGradient Evaluator::peak_gradient(
                     org.active_cores, e.what());
   };
 
-  // The adjoint identity needs a consistent (q, T) pair.  On fixed-point
-  // convergence the model's field was solved against the *previous*
-  // iterate's power map, so converge the loop, rebuild the map from the
-  // final tile temperatures (recording source ownership for the rigid-
-  // translation geometry), and pay one more forward solve.
+  // The adjoint identity needs a consistent (q, T) pair: the power map
+  // rebuilt from the final tile temperatures (recording source ownership
+  // for the rigid-translation geometry) with the field it produces.  The
+  // folded fixed point's field already solves K T = q(T); only the
+  // iterated fallback, whose last solve used the previous iterate's
+  // power, pays one more forward solve.  The adjoint itself is taken at
+  // these frozen watts (no leakage feedback in λ).
   LeakageResult lr;
   try {
     lr = run_leakage_fixed_point(
@@ -219,13 +221,16 @@ Evaluator::PeakGradient Evaluator::peak_gradient(
   const PowerMap pm =
       build_power_map(*entry->layout, bench, lvl, active, tile_temps,
                       config_.power, 1.0, &source_chiplet);
-  ThermalResult tr;
-  try {
-    tr = entry->model->solve(pm);
-  } catch (const Error& e) {
-    rethrow(e);
+  double peak_c = lr.peak_c;
+  solve_count_ += static_cast<std::size_t>(lr.iterations);
+  if (!lr.exact) {
+    try {
+      peak_c = entry->model->solve(pm).peak_c;
+    } catch (const Error& e) {
+      rethrow(e);
+    }
+    ++solve_count_;
   }
-  solve_count_ += static_cast<std::size_t>(lr.iterations) + 1;
 
   ThermalModel::AdjointInfo ainfo;
   const std::vector<double>& lambda = entry->model->adjoint_peak(&ainfo);
@@ -239,7 +244,7 @@ Evaluator::PeakGradient Evaluator::peak_gradient(
     span.arg("adjoint_iters", static_cast<std::int64_t>(ainfo.iterations));
 
   PeakGradient g;
-  g.peak_c = tr.peak_c;
+  g.peak_c = peak_c;
   for (int param = 0; param < 2; ++param) {
     const std::vector<ChipletVelocity> vel =
         org16_spacing_velocities(*entry->layout, param);

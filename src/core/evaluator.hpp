@@ -77,9 +77,9 @@ struct LadderOptions {
   std::size_t surrogate_min_samples = 8;
   /// Rung 2 uses a half-resolution model; below this edge it is skipped.
   std::size_t medium_grid_min = 8;
-  /// Leakage fixed-point tolerance (°C) for rung-2 estimates.  Looser than
-  /// the full path's: the unconverged tail is a smooth bias the residual
-  /// calibration absorbs, and it saves ~2 medium solves per estimate.
+  /// Leakage tolerance (°C) for rung-2 estimates that fall back to the
+  /// iterated loop (core/leakage.hpp); the folded solve is exact and
+  /// ignores it.  Kept for the wire and journal formats.
   double medium_leak_tol_c = 0.25;
 };
 
@@ -145,7 +145,11 @@ struct EvalConfig {
   CostParams cost;
   PowerModelParams power;
   AllocPolicy policy = AllocPolicy::kMinTemp;
-  double leak_tol_c = 0.05;  ///< leakage fixed-point convergence (°C)
+  /// Convergence tolerance (°C) of the iterated leakage loop, which runs
+  /// only as the folded solve's fallback (core/leakage.hpp).
+  double leak_tol_c = 0.05;
+  /// Iteration cap of the iterated loop and of the folded solve's clamp
+  /// re-solves.
   int max_leak_iters = 12;
   /// Frontier safety margin (°C): conclusions from the monotone cache are
   /// only drawn when the bounding peak is at least this far from the

@@ -43,6 +43,21 @@ double JacobiPreconditioner::apply_dot(const std::vector<double>& r,
                        });
 }
 
+double LowRankDowndate::apply(const std::vector<double>& x,
+                              std::vector<double>& y) const {
+  double quad = 0.0;
+  for (std::size_t t = 0; t < coef.size(); ++t) {
+    double s = 0.0;
+    for (std::size_t k = start[t]; k < start[t + 1]; ++k)
+      s += weight[k] * x[index[k]];
+    quad += coef[t] * s * s;
+    const double cs = coef[t] * s;
+    for (std::size_t k = start[t]; k < start[t + 1]; ++k)
+      y[index[k]] -= cs * weight[k];
+  }
+  return quad;
+}
+
 namespace {
 
 /// One histogram across every PCG invocation: the preconditioner A/B
@@ -80,17 +95,30 @@ SolveResult solve_pcg(const CsrMatrix& A, const std::vector<double>& b,
   std::vector<double> r(n), z(n), p(n), Ap(n);
   std::vector<double> partials;
 
-  // r = b - A x, with ||r||^2 in the same pass.
-  double rr = reduce_chunks(n, par, partials, [&](std::size_t lo,
-                                                  std::size_t hi) {
-    spmv_rows(A, x, Ap, lo, hi);
+  const LowRankDowndate* const dd = opts.downdate;
+  const auto residual_from_Ap = [&](std::size_t lo, std::size_t hi) {
     double acc = 0.0;
     for (std::size_t i = lo; i < hi; ++i) {
       r[i] = b[i] - Ap[i];
       acc += r[i] * r[i];
     }
     return acc;
-  });
+  };
+  // r = b - A x, with ||r||^2 in the same pass.  A downdate is applied
+  // serially between the SpMV and the residual pass.
+  double rr;
+  if (dd) {
+    for_chunks(n, par, [&](std::size_t lo, std::size_t hi) {
+      spmv_rows(A, x, Ap, lo, hi);
+    });
+    dd->apply(x, Ap);
+    rr = reduce_chunks(n, par, partials, residual_from_Ap);
+  } else {
+    rr = reduce_chunks(n, par, partials, [&](std::size_t lo, std::size_t hi) {
+      spmv_rows(A, x, Ap, lo, hi);
+      return residual_from_Ap(lo, hi);
+    });
+  }
 
   const double b_norm = std::sqrt(reduce_chunks(
       n, par, partials, [&](std::size_t lo, std::size_t hi) {
@@ -115,14 +143,16 @@ SolveResult solve_pcg(const CsrMatrix& A, const std::vector<double>& b,
 
   for (std::size_t it = 1; it <= opts.max_iterations; ++it) {
     if (opts.cancel) opts.cancel->poll();
-    // Ap = A p and pAp = p·Ap in one pass over the matrix.
-    const double pAp =
+    // Ap = A p and pAp = p·Ap in one pass over the matrix; a downdate
+    // then subtracts its (serial, term-ordered) share from both.
+    double pAp =
         reduce_chunks(n, par, partials, [&](std::size_t lo, std::size_t hi) {
           spmv_rows(A, p, Ap, lo, hi);
           double acc = 0.0;
           for (std::size_t i = lo; i < hi; ++i) acc += p[i] * Ap[i];
           return acc;
         });
+    if (dd) pAp -= dd->apply(p, Ap);
     if (!(pAp > 0.0)) {
       std::ostringstream os;
       os << "matrix is not positive definite (pAp=" << pAp << ")";
@@ -174,6 +204,8 @@ SolveResult solve_gauss_seidel(const CsrMatrix& A, const std::vector<double>& b,
     throw SolverError("gauss-seidel", 0, 0.0, "dimension mismatch");
   TACOS_CHECK(opts.residual_check_interval >= 1,
               "residual_check_interval must be >= 1");
+  TACOS_CHECK(!opts.downdate, "Gauss-Seidel cannot apply a matrix-free "
+                              "downdate (it needs explicit rows)");
   const auto& rp = A.row_ptr();
   const auto& ci = A.col_idx();
   const auto& v = A.values();

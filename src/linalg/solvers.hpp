@@ -91,6 +91,24 @@ inline const char* precond_name(PrecondKind k) {
   return "auto";
 }
 
+/// A symmetric sparse low-rank downdate of the system matrix: solve_pcg
+/// solves (A − Σ_t c_t u_t u_tᵀ) x = b instead of A x = b, applying the
+/// correction matrix-free.  Each u_t is sparse (entries [start[t],
+/// start[t+1]) of `index`/`weight`).  The thermal model folds linear
+/// leakage feedback in this way: u_t averages tile t's cells and c_t is
+/// its leakage slope (core/leakage.hpp).  The caller keeps the downdated
+/// operator positive definite; a breakdown throws SolverError as usual.
+struct LowRankDowndate {
+  std::vector<double> coef;        ///< c_t, one per term
+  std::vector<std::size_t> start;  ///< term offsets, size coef.size() + 1
+  std::vector<std::size_t> index;  ///< row of each entry
+  std::vector<double> weight;      ///< u_t entry values
+
+  /// y −= Σ_t c_t u_t (u_tᵀ x), returning Σ_t c_t (u_tᵀ x)².  Serial and
+  /// in term order, so the result does not depend on the thread count.
+  double apply(const std::vector<double>& x, std::vector<double>& y) const;
+};
+
 /// Outcome of an iterative solve.
 struct SolveResult {
   bool converged = false;
@@ -133,11 +151,16 @@ struct SolveOptions {
   /// its cached multigrid hierarchy here for steady-state solves only
   /// (the transient matrix G + C/dt has a different operator).
   Preconditioner* preconditioner = nullptr;
+  /// Low-rank downdate of the matrix for solve_pcg (nullptr = none).  Not
+  /// owned.  The preconditioner stays the one built for the matrix itself.
+  /// Gauss-Seidel needs explicit rows and rejects it.
+  const LowRankDowndate* downdate = nullptr;
 };
 
-/// Jacobi-preconditioned conjugate gradient for SPD systems.
-/// `x` is both the initial guess (warm start) and the solution output; it
-/// must be sized A.rows() (zero-fill for a cold start).
+/// Jacobi-preconditioned conjugate gradient for SPD systems, applying
+/// `opts.downdate` when given.  `x` is both the initial guess (warm start)
+/// and the solution output; it must be sized A.rows() (zero-fill for a
+/// cold start).
 SolveResult solve_pcg(const CsrMatrix& A, const std::vector<double>& b,
                       std::vector<double>& x, const SolveOptions& opts = {});
 

@@ -15,20 +15,48 @@ double core_dynamic_power_w(const BenchmarkProfile& bench,
   return q * (1.0 - p.leakage_fraction) * v * v * f;
 }
 
+namespace {
+
+// The linear leakage model is extracted from 22nm data in the normal
+// operating range [20]; the temperature is clamped so grossly infeasible
+// configurations (which the optimizer probes routinely) saturate instead
+// of producing an unphysical runaway.  150 °C is far above every
+// threshold studied, so the clamp never affects feasible designs.
+constexpr double kLeakClampLoC = 0.0;
+constexpr double kLeakClampHiC = 150.0;
+
+}  // namespace
+
 double core_leakage_power_w(const BenchmarkProfile& bench,
                             const DvfsLevel& lvl, double t_c,
                             const PowerModelParams& p) {
   const double q = bench.power_256_w / 256.0;
   const double v = lvl.vdd / kNominalLevel.vdd;
-  // The linear leakage model is extracted from 22nm data in the normal
-  // operating range [20]; clamp the temperature so grossly infeasible
-  // configurations (which the optimizer probes routinely) saturate instead
-  // of producing an unphysical runaway.  150 °C is far above every
-  // threshold studied, so the clamp never affects feasible designs.
-  const double t = std::clamp(t_c, 0.0, 150.0);
+  const double t = std::clamp(t_c, kLeakClampLoC, kLeakClampHiC);
   const double scale = 1.0 + p.lambda_per_k * (t - p.t_ref_c);
   // Leakage cannot go negative even for very cold (sub-reference) parts.
   return q * p.leakage_fraction * v * std::max(0.0, scale);
+}
+
+LeakageAffine core_leakage_affine(const BenchmarkProfile& bench,
+                                  const DvfsLevel& lvl,
+                                  const PowerModelParams& p) {
+  TACOS_CHECK(p.lambda_per_k >= 0.0,
+              "leakage slope must be non-negative, got " << p.lambda_per_k);
+  const double q = bench.power_256_w / 256.0;
+  const double v = lvl.vdd / kNominalLevel.vdd;
+  const double c = q * p.leakage_fraction * v;
+  LeakageAffine out;
+  out.a = c * (1.0 - p.lambda_per_k * p.t_ref_c);
+  out.b = c * p.lambda_per_k;
+  out.t_hi_c = kLeakClampHiC;
+  // Below the zero crossing the max(0, ·) floor holds leakage at 0, which
+  // equals the affine value at the crossing: clamping T there is exact.
+  out.t_lo_c = out.a >= 0.0
+                   ? kLeakClampLoC
+                   : std::min(kLeakClampHiC,
+                              p.t_ref_c - 1.0 / p.lambda_per_k);
+  return out;
 }
 
 double chip_power_w(const BenchmarkProfile& bench, const DvfsLevel& lvl,

@@ -60,6 +60,25 @@ double core_leakage_power_w(const BenchmarkProfile& bench,
                             const DvfsLevel& lvl, double t_c,
                             const PowerModelParams& p = {});
 
+/// Leakage of one active core as an affine function of its temperature:
+/// core_leakage_power_w(T) == a + b·clamp(T, t_lo_c, t_hi_c) exactly, for
+/// every T.  [t_lo_c, t_hi_c] is the clamp range [0, 150] °C, raised at
+/// the low end to the zero crossing when a steep slope (λ·t_ref > 1)
+/// would otherwise drive the linear model negative.  The thermal solve
+/// folds `b` into its operator (core/leakage.hpp); the intercept `a` is
+/// what build_power_map emits at T = t_lo_c when t_lo_c = 0.
+struct LeakageAffine {
+  double a = 0.0;       ///< intercept (W)
+  double b = 0.0;       ///< slope (W/K)
+  double t_lo_c = 0.0;  ///< lower end of the affine range (°C)
+  double t_hi_c = 0.0;  ///< upper end of the affine range (°C)
+};
+
+/// The affine form of core_leakage_power_w for `bench` at level `lvl`.
+LeakageAffine core_leakage_affine(const BenchmarkProfile& bench,
+                                  const DvfsLevel& lvl,
+                                  const PowerModelParams& p = {});
+
 /// Total chip power (W) if all cores run at `lvl` and temperature `t_c`
 /// (excluding network) — convenience for synthetic studies and tests.
 double chip_power_w(const BenchmarkProfile& bench, const DvfsLevel& lvl,

@@ -524,9 +524,32 @@ MultigridPreconditioner* ThermalModel::multigrid_for_solve() {
   return mg_.get();
 }
 
+LowRankDowndate ThermalModel::fold_feedback(const TileFeedback& feedback,
+                                            std::vector<double>& rhs) const {
+  TACOS_CHECK(!tile_cells_.empty(), "tile feedback needs a tiled layout");
+  LowRankDowndate dd;
+  dd.start.push_back(0);
+  if (feedback.slope_w_per_k == 0.0) return dd;
+  const double shift = feedback.slope_w_per_k * feedback.anchor_c;
+  for (int tile : feedback.tiles) {
+    TACOS_CHECK(tile >= 0 && static_cast<std::size_t>(tile) < tile_cells_.size(),
+                "feedback tile id " << tile << " out of range");
+    for (const auto& [idx, w] : tile_cells_[static_cast<std::size_t>(tile)]) {
+      dd.index.push_back(idx);
+      dd.weight.push_back(w);
+      rhs[idx] -= shift * w;
+    }
+    dd.coef.push_back(feedback.slope_w_per_k);
+    dd.start.push_back(dd.index.size());
+  }
+  return dd;
+}
+
 SolveResult ThermalModel::attempt_solve(const std::vector<double>& rhs,
+                                        const LowRankDowndate* downdate,
                                         std::size_t solve_index, int attempt) {
   SolveOptions opts = config_.solve;
+  opts.downdate = downdate;
   if (attempt == 2) opts.max_iterations *= kCapRaiseFactor;
   const bool forced_fail = opts.fault.pcg_should_fail(solve_index, attempt);
   if (forced_fail) {
@@ -547,13 +570,17 @@ SolveResult ThermalModel::attempt_solve(const std::vector<double>& rhs,
   return sr;
 }
 
-ThermalResult ThermalModel::solve(const PowerMap& power) {
+ThermalResult ThermalModel::solve(const PowerMap& power,
+                                  const TileFeedback* feedback) {
   static obs::SpanSite solve_site("thermal.solve", "thermal");
   obs::TraceSpan span(solve_site);
 
   SolveLedger& led = ledger();
   const std::size_t idx = led.solve_index++;
   std::vector<double> rhs = build_rhs(power);
+  LowRankDowndate fold;
+  if (feedback) fold = fold_feedback(*feedback, rhs);
+  const LowRankDowndate* const dd = feedback ? &fold : nullptr;
   if (config_.solve.fault.nan_rhs(idx))
     rhs[0] = std::numeric_limits<double>::quiet_NaN();
   // Input gate: reject non-finite power before the solver can smear it
@@ -580,25 +607,42 @@ ThermalResult ThermalModel::solve(const PowerMap& power) {
   static obs::SpanSite rung_gs("thermal.rung.gs", "thermal");
   obs::SpanSite* const rung_sites[4] = {&rung_warm, &rung_cold, &rung_cap,
                                         &rung_gs};
+  // A folded operator that breaks CG down (pᵀAp ≤ 0) is not positive
+  // definite — thermal runaway — whatever the iterate, so no rung can
+  // help: such a solve hands over at once, without counting recoveries.
+  bool indefinite = false;
   const auto try_attempt = [&](int attempt) {
     obs::TraceSpan rung(*rung_sites[attempt]);
     rung.arg("solve", static_cast<std::int64_t>(idx));
     try {
-      return attempt_solve(rhs, idx, attempt);
+      return attempt_solve(rhs, dd, idx, attempt);
     } catch (const SolverError& e) {
       last_error = e.what();
+      indefinite = dd != nullptr;
       return SolveResult{};
     }
+  };
+  const auto hand_over = [&](const SolveResult& failed) {
+    temperatures_ = pre_solve;
+    span.arg("solve", static_cast<std::int64_t>(idx));
+    span.arg("handover", "true");
+    return make_result(failed);
   };
 
   SolveResult sr;
   try {
     sr = try_attempt(0);
     for (int attempt = 1; !sr.converged && attempt <= 3; ++attempt) {
+      if (indefinite) return hand_over(sr);
       switch (attempt) {
         case 1: ++led.health.cold_restarts; break;
         case 2: ++led.health.cap_retries; break;
         default: ++led.health.gs_fallbacks; break;
+      }
+      if (attempt == 3 && dd) {
+        // Hand-over rung of a folded solve (see solve()'s contract).
+        if (config_.solve.fault.pcg_should_fail(idx, attempt)) break;
+        return hand_over(sr);
       }
       // Discard the diverged iterate; every retry starts cold from ambient.
       std::fill(temperatures_.begin(), temperatures_.end(),

@@ -59,6 +59,20 @@ struct ThermalResult {
   SolveResult solve_info;
 };
 
+/// Linear temperature feedback of tile power, folded into a steady solve
+/// (ThermalModel::solve).  Each listed tile dissipates `slope_w_per_k`
+/// more watts per kelvin that its average CMOS temperature (the
+/// tile_temperatures() average) lies above `anchor_c`, on top of its
+/// power-map share.  Tile power is rasterized with the same cells and
+/// weights that average its temperature, so the solve is the symmetric
+/// system (K − s·Σ_t w_t w_tᵀ) T = q − s·anchor·Σ_t w_t: exactly the fixed
+/// point that iterating power → temperature → power converges to.
+struct TileFeedback {
+  std::vector<int> tiles;      ///< logical tile ids, in the order applied
+  double slope_w_per_k = 0.0;  ///< dP/dT of every listed tile (W/K)
+  double anchor_c = 0.0;       ///< temperature the power map assumed (°C)
+};
+
 /// Geometry-bound thermal model; reusable across power maps.
 class ThermalModel {
  public:
@@ -75,7 +89,19 @@ class ThermalModel {
   /// fails, the pre-solve temperature field is restored (no warm-start
   /// poisoning) and ThermalError is thrown; non-finite power input is
   /// rejected up front with ThermalError and leaves the field untouched.
-  ThermalResult solve(const PowerMap& power);
+  ///
+  /// With `feedback`, the folded system (see TileFeedback) is solved by
+  /// PCG under the same index, fault plan, ladder, spans and metrics.
+  /// Gauss-Seidel needs explicit rows, so the ladder's last rung becomes
+  /// a hand-over instead (still counted as rung 3): the pre-solve field
+  /// is restored and the result returned with solve_info.converged ==
+  /// false, for the caller to iterate the feedback with plain solves.  A
+  /// CG breakdown (pᵀAp ≤ 0: the folded operator is indefinite, i.e.
+  /// thermal runaway) hands over at once, with no rung counted.  A fault
+  /// plan that fails rung 3 fails the hand-over, which exhausts the
+  /// ladder and throws as usual.
+  ThermalResult solve(const PowerMap& power,
+                      const TileFeedback* feedback = nullptr);
 
   /// Share accounting with the caller: `ledger` (owned by the caller,
   /// e.g. an Evaluator shard) receives this model's solve indices and
@@ -212,7 +238,13 @@ class ThermalModel {
   /// One steady-state attempt of the recovery ladder; honors the fault
   /// plan's forced failures for (solve_index, attempt).
   SolveResult attempt_solve(const std::vector<double>& rhs,
+                            const LowRankDowndate* downdate,
                             std::size_t solve_index, int attempt);
+
+  /// The downdate `feedback` folds into K, with its anchor term taken off
+  /// `rhs`.
+  LowRankDowndate fold_feedback(const TileFeedback& feedback,
+                                std::vector<double>& rhs) const;
 
   /// Build (once) and return the multigrid hierarchy for steady solves.
   MultigridPreconditioner* multigrid_for_solve();

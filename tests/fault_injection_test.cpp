@@ -129,6 +129,62 @@ TEST(FaultInjection, ExhaustedLadderThrowsThermalErrorWithContext) {
   EXPECT_EQ(rig.model.health().solve_failures, 1u);
 }
 
+// --- Folded leakage solves: rung 3 is the hand-over. ----------------------
+
+std::vector<int> all_tiles() {
+  std::vector<int> v(256);
+  for (int i = 0; i < 256; ++i) v[static_cast<std::size_t>(i)] = i;
+  return v;
+}
+
+TEST(FaultInjection, FoldedSolveHandsOverToTheIteratedLoop) {
+  // Gauss-Seidel cannot apply the folded operator, so a folded solve that
+  // fails warm, cold and raised-cap hands over (rung 3) to the iterated
+  // loop, which then solves cleanly from the restored field.
+  ThermalConfig cfg = small_thermal_config();
+  cfg.solve.fault.pcg_fail_at = 0;
+  cfg.solve.fault.pcg_fail_rungs = 3;
+  Rig faulted(cfg);
+  Rig clean(small_thermal_config());
+  const BenchmarkProfile& bench = benchmark_by_name("cholesky");
+  const LeakageResult fr =
+      run_leakage_fixed_point(faulted.model, faulted.layout, bench,
+                              kDvfsLevels[0], all_tiles(), PowerModelParams{});
+  const LeakageResult cr =
+      run_leakage_iterated(clean.model, clean.layout, bench, kDvfsLevels[0],
+                           all_tiles(), PowerModelParams{});
+  EXPECT_EQ(faulted.model.health().cold_restarts, 1u);
+  EXPECT_EQ(faulted.model.health().cap_retries, 1u);
+  EXPECT_EQ(faulted.model.health().gs_fallbacks, 1u);
+  EXPECT_EQ(faulted.model.health().solve_failures, 0u);
+  EXPECT_TRUE(fr.converged);
+  EXPECT_FALSE(fr.exact);
+  EXPECT_EQ(fr.iterations, cr.iterations + 1);
+  // Both loops start from ambient: the hand-over restored the field.
+  EXPECT_EQ(fr.peak_c, cr.peak_c);
+  EXPECT_EQ(faulted.model.tile_temperatures(), clean.model.tile_temperatures());
+}
+
+TEST(FaultInjection, FoldedSolveFailedHandOverExhaustsTheLadder) {
+  ThermalConfig cfg = small_thermal_config();
+  cfg.solve.fault.pcg_fail_at = 0;
+  cfg.solve.fault.pcg_fail_rungs = 4;
+  Rig rig(cfg);
+  try {
+    run_leakage_fixed_point(rig.model, rig.layout,
+                            benchmark_by_name("cholesky"), kDvfsLevels[0],
+                            all_tiles(), PowerModelParams{});
+    FAIL() << "expected ThermalError";
+  } catch (const ThermalError& e) {
+    EXPECT_EQ(e.solve_index(), 0u);
+    EXPECT_EQ(e.attempts(), 4);
+  }
+  EXPECT_EQ(rig.model.health().cold_restarts, 1u);
+  EXPECT_EQ(rig.model.health().cap_retries, 1u);
+  EXPECT_EQ(rig.model.health().gs_fallbacks, 1u);
+  EXPECT_EQ(rig.model.health().solve_failures, 1u);
+}
+
 // --- Warm-start poisoning regression. ------------------------------------
 
 TEST(FaultInjection, FailedSolveRestoresPreSolveField) {
@@ -213,9 +269,11 @@ TEST(FaultInjection, LeakageNonConvergenceDirectCall) {
 EvalConfig faulty_config() {
   EvalConfig c;
   c.thermal.grid_nx = c.thermal.grid_ny = 12;
-  // Fail 5% of solves past the whole ladder: every affected task is
-  // quarantined, every other row must be untouched.
-  c.thermal.solve.fault.pcg_fail_every = 20;
+  // Fail 10% of solves past the whole ladder: every affected task is
+  // quarantined, every other row must be untouched.  (With one folded
+  // solve per evaluation these tasks take 5–16 solves, so a 1-in-20
+  // schedule would never reach a targeted index.)
+  c.thermal.solve.fault.pcg_fail_every = 10;
   c.thermal.solve.fault.pcg_fail_rungs = 4;
   return c;
 }
@@ -258,7 +316,7 @@ TEST(FaultInjection, QuarantineIsBitIdenticalAcrossThreadCounts) {
   // "surviving rows identical" requirement.
   EXPECT_EQ(f1, f2);
   EXPECT_EQ(f1, f8);
-  // The 5% plan must actually bite, and the batch must still complete.
+  // The 10% plan must actually bite, and the batch must still complete.
   EXPECT_GT(s1.health.quarantined, 0u);
   EXPECT_EQ(s1.health.quarantined, s2.health.quarantined);
   EXPECT_EQ(s1.health.quarantined, s8.health.quarantined);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/leakage.hpp"
 #include "core/optimizer.hpp"
 #include "floorplan/layout.hpp"
 #include "materials/stack.hpp"
@@ -39,22 +40,35 @@ PowerMap uniform_power(const ChipletLayout& l, double total_w) {
 /// preconditioner choice; returns the exact tile temperatures.  Grid 40 →
 /// ~12.8k unknowns, above the solver's parallel threshold, so the
 /// row-partitioned kernels actually engage (and, for kMultigrid, the
-/// V-cycle's chunked smoothing runs on the pool too).
-std::vector<double> solve_at(std::size_t threads, PrecondKind precond) {
+/// V-cycle's chunked smoothing runs on the pool too).  `folded` solves the
+/// leakage fixed point instead: one PCG solve of the operator with the
+/// leakage slopes folded in (matrix-free downdate, applied serially).
+std::vector<double> solve_at(std::size_t threads, PrecondKind precond,
+                             bool folded = false) {
   ThreadPool::set_global_threads(threads);
   const ChipletLayout l = make_uniform_layout(4, 4.0);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 40;
   cfg.solve.precond = precond;
   ThermalModel model(l, make_25d_stack(), cfg);
-  model.solve(uniform_power(l, 300.0));
+  if (folded) {
+    std::vector<int> all(256);
+    for (int i = 0; i < 256; ++i) all[static_cast<std::size_t>(i)] = i;
+    const LeakageResult r =
+        run_leakage_fixed_point(model, l, benchmark_by_name("shock"),
+                                kDvfsLevels[0], all, PowerModelParams{});
+    EXPECT_TRUE(r.exact);
+  } else {
+    model.solve(uniform_power(l, 300.0));
+  }
   return model.tile_temperatures();
 }
 
-void expect_bit_identical_across_threads(PrecondKind precond) {
-  const std::vector<double> t1 = solve_at(1, precond);
-  const std::vector<double> t2 = solve_at(2, precond);
-  const std::vector<double> t8 = solve_at(8, precond);
+void expect_bit_identical_across_threads(PrecondKind precond,
+                                         bool folded = false) {
+  const std::vector<double> t1 = solve_at(1, precond, folded);
+  const std::vector<double> t2 = solve_at(2, precond, folded);
+  const std::vector<double> t8 = solve_at(8, precond, folded);
   ASSERT_EQ(t1.size(), t2.size());
   ASSERT_EQ(t1.size(), t8.size());
   for (std::size_t i = 0; i < t1.size(); ++i) {
@@ -72,6 +86,18 @@ TEST(ParallelDeterminism, SolverBitIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, MultigridSolveBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   expect_bit_identical_across_threads(PrecondKind::kMultigrid);
+}
+
+TEST(ParallelDeterminism, FoldedLeakageSolveBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  expect_bit_identical_across_threads(PrecondKind::kJacobi, /*folded=*/true);
+}
+
+TEST(ParallelDeterminism,
+     FoldedLeakageMultigridSolveBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  expect_bit_identical_across_threads(PrecondKind::kMultigrid,
+                                      /*folded=*/true);
 }
 
 TEST(ParallelDeterminism, JacobiAndMultigridAgreeWithinTolerance) {
